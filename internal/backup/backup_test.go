@@ -1,6 +1,7 @@
 package backup_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -623,5 +624,47 @@ func TestColdBackupRestore(t *testing.T) {
 	}
 	if _, err := backup.Verify(arch); err == nil || !strings.Contains(err.Error(), "segment") {
 		t.Fatalf("Verify missed cold segment corruption under a forged label: %v", err)
+	}
+	blocks[seg.Ref.Offset+int64(seg.HeaderLen)+4] ^= 0x01 // undo
+
+	// Narrow a block zone map and re-forge every checksum above it: the
+	// header CRC, the segment CRC in the manifest, the manifest CRC in
+	// the checkpoint image, and the label. Such a zone would silently drop
+	// rows from pruned scans; only the per-value zone check can object.
+	// Segment format v2 ends its header with the block zones (min u64,
+	// max u64 per column per block) and then the header CRC, so the eight
+	// bytes before the CRC are the last block's max for the last column.
+	hdr := blocks[seg.Ref.Offset : seg.Ref.Offset+int64(seg.HeaderLen)]
+	n := len(hdr)
+	copy(hdr[n-12:n-4], hdr[n-20:n-12]) // max := min
+	binary.LittleEndian.PutUint32(hdr[n-4:], crc32.ChecksumIEEE(hdr[:n-4]))
+	m.Tables[0].Segments[0].CRC = crc32.ChecksumIEEE(blocks[seg.Ref.Offset : seg.Ref.Offset+int64(seg.Ref.Len)])
+	manData = frozen.EncodeManifest(m)
+	cpPath := filepath.Join(bdir, "checkpoint.db")
+	cp, err := os.ReadFile(cpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Checkpoint image: magic u32, version u32, gsn u64, clock u64, cold
+	// manifest epoch u64, cold manifest CRC u32, ..., trailing CRC u32.
+	binary.LittleEndian.PutUint32(cp[32:36], crc32.ChecksumIEEE(manData))
+	binary.LittleEndian.PutUint32(cp[len(cp)-4:], crc32.ChecksumIEEE(cp[:len(cp)-4]))
+	forged := map[string][]byte{"data.blocks": blocks, manFile: manData, "checkpoint.db": cp}
+	for name, data := range forged {
+		if err := os.WriteFile(filepath.Join(bdir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range label.Files {
+		if data, ok := forged[label.Files[i].Name]; ok {
+			label.Files[i].CRC = crc32.ChecksumIEEE(data)
+			label.Files[i].Size = uint64(len(data))
+		}
+	}
+	if err := os.WriteFile(filepath.Join(bdir, backup.LabelName), backup.EncodeLabel(label), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := backup.Verify(arch); err == nil || !strings.Contains(err.Error(), "zone map") {
+		t.Fatalf("Verify missed a narrowed block zone map under forged checksums: %v", err)
 	}
 }

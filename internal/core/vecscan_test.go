@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -458,4 +459,51 @@ func TestScanFilteredThreeTemperatures(t *testing.T) {
 		t.Fatalf("mid-scan warm: scan saw %v, want %v", got, want)
 	}
 	check("after mid-scan warm")
+}
+
+// A NaN row satisfies balance != 3. Freezing must not change that: the
+// cold tier's zone maps may not prune the NaN row's segment or block
+// because every other balance there is 3.
+func TestNeAggregateNaNHotAndFrozen(t *testing.T) {
+	e := openTestEngine(t, Config{PageCap: 8})
+	setupAccounts(t, e)
+	tx := begin(e, 0)
+	for i := 1; i <= 40; i++ {
+		bal := 3.0
+		if i == 3 {
+			bal = math.NaN()
+		}
+		if _, err := tx.Insert("accounts", acct(i, "o", bal)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	preds := []rel.ColPred{{Col: 2, Op: rel.CmpNe, Val: rel.Float(3)}}
+	specs := []rel.AggSpec{{Op: rel.AggOpCount}, {Op: rel.AggOpSum, Col: 0}}
+	answer := func() (int64, int64, []int64) {
+		r := begin(e, 1)
+		defer r.Rollback()
+		vals, n, err := r.AggTableFiltered("accounts", preds, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, vals[1].I, vecIDs(t, r, preds)
+	}
+	hotN, hotSum, hotIDs := answer()
+	if hotN != 1 || hotSum != 3 || !eqIDs(hotIDs, 3) {
+		t.Fatalf("hot: count %d, sum(id) %d, ids %v; want the NaN row 3 alone", hotN, hotSum, hotIDs)
+	}
+	e.CollectGarbage()
+	if n, err := e.FreezeTables(4, 1<<20); err != nil || n == 0 {
+		t.Fatalf("freeze = (%d, %v)", n, err)
+	}
+	if st := e.ColdStats(); st.Segments == 0 {
+		t.Fatalf("nothing frozen: %+v", st)
+	}
+	n, sum, ids := answer()
+	if n != hotN || sum != hotSum || !eqIDs(ids, hotIDs...) {
+		t.Fatalf("frozen: count %d, sum(id) %d, ids %v; hot gave %d, %d, %v", n, sum, ids, hotN, hotSum, hotIDs)
+	}
 }

@@ -7,9 +7,10 @@
 // A segment is a run of consecutive rows — row_id order is preserved —
 // cut into independently compressed blocks of ~DefaultBlockRows rows.
 // Each segment carries a block directory, a bloom filter over its row_ids
-// and per-column-strip zone maps (min/max), so a cold point read touches
-// at most one segment (bloom negatives touch zero) and decompresses one
-// block, not the whole segment. Freeze emits level-0 segments; a
+// and per-column-strip zone maps (min/max) per block and per segment, so
+// a cold point read touches at most one segment (bloom negatives touch
+// zero) and decompresses one block, not the whole segment, and a scan
+// skips every block its predicates refute. Freeze emits level-0 segments; a
 // background compaction merges the oldest segments of a level into one
 // next-level segment, purging tombstones — row_ids grow monotonically
 // with freeze time, so per-level oldest-first merges keep every segment's
@@ -60,6 +61,7 @@ type ColdStats struct {
 	BloomNegatives int64 // lookups answered by the bloom filter alone
 	CacheHits      int64
 	CacheMisses    int64
+	BlocksPruned   int64 // scan blocks skipped by segment or block zone maps
 	Compactions    int64
 	FreezeBytes    int64 // compressed bytes appended by Freeze (level 0)
 	CompactBytes   int64 // compressed bytes appended by compaction merges
@@ -76,6 +78,7 @@ func (s *ColdStats) Add(b ColdStats) {
 	s.BloomNegatives += b.BloomNegatives
 	s.CacheHits += b.CacheHits
 	s.CacheMisses += b.CacheMisses
+	s.BlocksPruned += b.BlocksPruned
 	s.Compactions += b.Compactions
 	s.FreezeBytes += b.FreezeBytes
 	s.CompactBytes += b.CompactBytes
@@ -130,6 +133,7 @@ type Store struct {
 	bloomNeg   atomic.Int64
 	cacheHits  atomic.Int64
 	cacheMiss  atomic.Int64
+	pruned     atomic.Int64
 	compacts   atomic.Int64
 	freezeByt  atomic.Int64
 	compactByt atomic.Int64
@@ -196,6 +200,7 @@ func (s *Store) Stats() ColdStats {
 		BloomNegatives: s.bloomNeg.Load(),
 		CacheHits:      s.cacheHits.Load(),
 		CacheMisses:    s.cacheMiss.Load(),
+		BlocksPruned:   s.pruned.Load(),
 		Compactions:    s.compacts.Load(),
 		FreezeBytes:    s.freezeByt.Load(),
 		CompactBytes:   s.compactByt.Load(),
@@ -486,10 +491,11 @@ func (g *segment) snapshotDeleted() map[rel.RowID]bool {
 // ScanBlocks streams decompressed column-strip blocks in row_id order
 // with a selection bitmap over live (non-tombstoned) slots — the
 // vectorized cold-scan path: FilterFixed/AggState fold directly over the
-// strips. Segments whose zone maps refute a predicate are skipped without
-// I/O. fn must not retain ids/page/sel across calls; returning false
-// stops the scan. Scanning does not bump warm counters: per §5.2,
-// "operations like table scans do not warm any data".
+// strips. Segments, then blocks, whose zone maps refute a predicate are
+// skipped without I/O (counted in BlocksPruned). fn must not retain
+// ids/page/sel across calls; returning false stops the scan. Scanning
+// does not bump warm counters: per §5.2, "operations like table scans do
+// not warm any data".
 func (s *Store) ScanBlocks(preds []rel.ColPred, fn func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool) error {
 	s.mu.RLock()
 	segs := append([]*segment(nil), s.segs...)
@@ -497,10 +503,15 @@ func (s *Store) ScanBlocks(preds []rel.ColPred, fn func(ids []rel.RowID, page *p
 	var sel pax.Sel
 	for _, g := range segs {
 		if zonesPrune(g.zones, preds) {
+			s.pruned.Add(int64(len(g.blocks)))
 			continue
 		}
 		dels := g.snapshotDeleted()
 		for bi := range g.blocks {
+			if zonesPrune(g.blockZones(bi), preds) {
+				s.pruned.Add(1)
+				continue
+			}
 			d, err := s.loadBlock(g, bi)
 			if err != nil {
 				return err

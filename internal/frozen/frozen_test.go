@@ -3,6 +3,7 @@ package frozen
 import (
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"phoebedb/internal/pax"
@@ -565,5 +566,58 @@ func BenchmarkFrozenGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Get(rel.RowID(i%1000 + 1))
+	}
+}
+
+// Point reads and scans from several goroutines share the pooled
+// decompressors under constant cache misses. Rows read early must stay
+// intact afterwards: their strings alias block buffers, which are never
+// reused.
+func TestConcurrentColdReads(t *testing.T) {
+	s := newTestStore(t)
+	s.BlockRows = 16
+	s.CacheBytes = 1 // every read past the newest block misses
+	ids, rows := batch(1, 400)
+	mustFreeze(t, s, ids, rows)
+	kept := make([]rel.Row, len(ids))
+	for i, id := range ids {
+		row, ok, err := s.Get(id)
+		if err != nil || !ok {
+			t.Fatalf("Get(%d) = (%v, %v)", id, ok, err)
+		}
+		kept[i] = row
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				id := ids[(i*7+w*13)%len(ids)]
+				row, ok, err := s.Get(id)
+				if err != nil || !ok || !row.Equal(rows[id-1]) {
+					t.Errorf("Get(%d) = (%v, %v, %v)", id, row, ok, err)
+					return
+				}
+				if i%50 == 0 {
+					n := 0
+					preds := []rel.ColPred{{Col: 0, Op: rel.CmpGe, Val: rel.Int(200)}}
+					if err := s.ScanBlocks(preds, func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool {
+						page.FilterFixed(preds, sel)
+						n += sel.Count()
+						return true
+					}); err != nil || n != 201 {
+						t.Errorf("scan k >= 200 = %d rows, %v", n, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, row := range kept {
+		if !row.Equal(rows[i]) {
+			t.Fatalf("row %d changed after later reads: %v", ids[i], row)
+		}
 	}
 }

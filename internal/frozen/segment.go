@@ -22,7 +22,8 @@ import (
 //	magic u32 | version u32 | level u32 | flags u8 | numRows u32 | numBlocks u32
 //	per block: firstRID u64 | lastRID u64 | numRows u32 | rawLen u32 | compOff u32 | compLen u32
 //	bloomPresent u8 [ bloom: hashes u32, numWords u32, words u64[] ]
-//	zonesPresent u8 [ numZones u16, per zone: col u16, kind u8, min u64, max u64 ]
+//	zonesPresent u8 [ numZones u16, per zone: col u16, kind u8, min u64, max u64
+//	                  v2: per block, per zone: min u64, max u64 ]
 //	headerCRC u32
 //	body: concatenated DEFLATE blocks, each raw = count u32, ids u64[], pax image
 //
@@ -31,9 +32,16 @@ import (
 // header CRC covers everything before it; the whole-segment CRC recorded
 // in the manifest covers header+body and is what backup verification
 // checks.
+//
+// Version 2 adds the block zones: one min/max per segment zone per block,
+// in segment-zone order, so scans skip single blocks as well as whole
+// segments. Version 1 segments (segment zones only) still decode; their
+// float zones are read as the NaN marker (see zone), because the version
+// 1 encoder ignored NaN rows when it folded them.
 const (
-	segmentMagic   uint32 = 0x50435331 // "PCS1"
-	segmentVersion uint32 = 1
+	segmentMagic     uint32 = 0x50435331 // "PCS1"
+	segmentVersion   uint32 = 2
+	segmentVersionV1 uint32 = 1
 
 	segFlagFlat byte = 1 << 0 // flat ablation segment: one block, no bloom/zones
 )
@@ -54,12 +62,59 @@ func errTruncated(what string) error {
 
 // zone is a per-column-strip min/max summary. Only fixed-width columns
 // carry zones; min/max hold the raw 8-byte minipage encoding interpreted
-// by kind.
+// by kind. A float zone over a strip holding a NaN is the NaN marker: min
+// and max both NaN. Every comparison against it is false, so it never
+// prunes — a NaN row satisfies !=, which no [min, max] range refutes.
 type zone struct {
 	col  uint16
 	kind rel.Type
 	min  uint64
 	max  uint64
+}
+
+var nanBits = math.Float64bits(math.NaN())
+
+// isNaN reports whether z is the NaN marker.
+func (z zone) isNaN() bool {
+	return z.kind == rel.TFloat64 &&
+		math.IsNaN(math.Float64frombits(z.min)) && math.IsNaN(math.Float64frombits(z.max))
+}
+
+// widen extends z to cover the range [min, max] (min == max for one
+// value). A NaN bound turns a float zone into the NaN marker, which then
+// stays.
+func (z *zone) widen(min, max uint64) {
+	if z.kind == rel.TFloat64 && (z.isNaN() ||
+		math.IsNaN(math.Float64frombits(min)) || math.IsNaN(math.Float64frombits(max))) {
+		z.min, z.max = nanBits, nanBits
+		return
+	}
+	if zoneLess(z.kind, min, z.min) {
+		z.min = min
+	}
+	if zoneLess(z.kind, z.max, max) {
+		z.max = max
+	}
+}
+
+// wellFormed reports whether z is a known fixed-width kind with
+// min <= max, or the NaN marker.
+func (z zone) wellFormed() bool {
+	switch z.kind {
+	case rel.TInt64:
+		return int64(z.min) <= int64(z.max)
+	case rel.TFloat64:
+		return z.isNaN() || math.Float64frombits(z.min) <= math.Float64frombits(z.max)
+	}
+	return false
+}
+
+// covers reports whether every value inner summarizes lies within z.
+func (z zone) covers(inner zone) bool {
+	if z.isNaN() {
+		return true
+	}
+	return !inner.isNaN() && !zoneLess(z.kind, inner.min, z.min) && !zoneLess(z.kind, z.max, inner.max)
 }
 
 // prunes reports whether the predicate provably rejects every row whose
@@ -72,7 +127,7 @@ func (z zone) prunes(p rel.ColPred) bool {
 		}
 		return prunesOrdered(int64(z.min), int64(z.max), p.Val.I, p.Op)
 	case rel.TFloat64:
-		if p.Val.Kind != rel.TFloat64 {
+		if p.Val.Kind != rel.TFloat64 || z.isNaN() {
 			return false
 		}
 		return prunesOrdered(math.Float64frombits(z.min), math.Float64frombits(z.max), p.Val.F, p.Op)
@@ -138,6 +193,9 @@ type segment struct {
 	blocks    []segBlock
 	filter    *bloom
 	zones     []zone
+	// blockZ holds each block's zones, len(zones) per block in zone
+	// order; nil for version 1 and flat segments.
+	blockZ []zone
 
 	reads []atomic.Uint32 // per block, drives warming
 
@@ -162,6 +220,15 @@ func (g *segment) blockFor(rid rel.RowID) int {
 	return lo
 }
 
+// blockZones returns block i's zones (nil when the segment has none).
+func (g *segment) blockZones(i int) []zone {
+	if g.blockZ == nil {
+		return nil
+	}
+	nz := len(g.zones)
+	return g.blockZ[i*nz : (i+1)*nz : (i+1)*nz]
+}
+
 // bodyRef returns the sub-range BlockRef of block i's compressed bytes.
 func (g *segment) bodyRef(i int) storage.BlockRef {
 	b := g.blocks[i]
@@ -175,7 +242,8 @@ func (g *segment) bodyRef(i int) storage.BlockRef {
 
 // segmentBuilder accumulates rows in rid order and emits one encoded
 // segment: blocks are cut every blockRows rows, each compressed
-// independently; bloom and zone summaries accumulate across all rows.
+// independently; each block folds its own zones, which widen the
+// segment's; the bloom filter accumulates across all rows.
 type segmentBuilder struct {
 	schema    *rel.Schema
 	level     int
@@ -186,11 +254,12 @@ type segmentBuilder struct {
 	blocks []segBlock
 	body   bytes.Buffer
 
-	curIDs  []rel.RowID
-	curPage *pax.Page
+	curIDs   []rel.RowID
+	curPage  *pax.Page
+	curZones []zone // zones of the open block
 
 	zones    []zone
-	zoneInit bool
+	blockZ   []zone // closed blocks' zones, len(zones) per block
 	rawTotal int64
 }
 
@@ -223,26 +292,23 @@ func (sb *segmentBuilder) add(id rel.RowID, row rel.Row) error {
 	return nil
 }
 
+// foldZones widens the open block's zones by one row.
 func (sb *segmentBuilder) foldZones(row rel.Row) {
-	if !sb.zoneInit {
-		sb.zoneInit = true
+	if sb.curZones == nil {
 		for ci, c := range sb.schema.Cols {
 			if c.Type.FixedWidth() <= 0 {
 				continue
 			}
-			sb.zones = append(sb.zones, zone{col: uint16(ci), kind: c.Type, min: rawBits(row[ci]), max: rawBits(row[ci])})
+			v := rawBits(row[ci])
+			z := zone{col: uint16(ci), kind: c.Type, min: v, max: v}
+			z.widen(v, v) // a NaN becomes the marker
+			sb.curZones = append(sb.curZones, z)
 		}
 		return
 	}
-	for i := range sb.zones {
-		z := &sb.zones[i]
-		v := rawBits(row[int(z.col)])
-		if zoneLess(z.kind, v, z.min) {
-			z.min = v
-		}
-		if zoneLess(z.kind, z.max, v) {
-			z.max = v
-		}
+	for i := range sb.curZones {
+		v := rawBits(row[int(sb.curZones[i].col)])
+		sb.curZones[i].widen(v, v)
 	}
 }
 
@@ -295,8 +361,19 @@ func (sb *segmentBuilder) flushBlock() error {
 		compOff:  uint32(compOff),
 		compLen:  uint32(sb.body.Len() - compOff),
 	})
+	if !sb.flat {
+		sb.blockZ = append(sb.blockZ, sb.curZones...)
+		if sb.zones == nil {
+			sb.zones = append([]zone(nil), sb.curZones...)
+		} else {
+			for i, z := range sb.curZones {
+				sb.zones[i].widen(z.min, z.max)
+			}
+		}
+	}
 	sb.curPage = nil
 	sb.curIDs = nil
+	sb.curZones = nil
 	return nil
 }
 
@@ -357,6 +434,10 @@ func (sb *segmentBuilder) finish() (data []byte, headerLen int, err error) {
 			putU64(z.min)
 			putU64(z.max)
 		}
+		for _, z := range sb.blockZ {
+			putU64(z.min)
+			putU64(z.max)
+		}
 	}
 	putU32(crc32.ChecksumIEEE(hdr))
 	headerLen = len(hdr)
@@ -364,7 +445,9 @@ func (sb *segmentBuilder) finish() (data []byte, headerLen int, err error) {
 }
 
 // decodeSegmentHeader parses a segment header (hdr must be exactly the
-// header bytes, CRC trailer included).
+// header bytes, CRC trailer included) and checks its shape: block rid
+// ranges ordered and disjoint, block row counts summing to the segment's,
+// and every zone well formed, block zones inside their segment zone.
 func decodeSegmentHeader(hdr []byte) (*segment, error) {
 	if len(hdr) < 4 {
 		return nil, errTruncated("header")
@@ -395,8 +478,9 @@ func decodeSegmentHeader(hdr []byte) (*segment, error) {
 	if u32() != segmentMagic {
 		return nil, fmt.Errorf("frozen: bad segment magic")
 	}
-	if v := u32(); v != segmentVersion {
-		return nil, fmt.Errorf("frozen: unsupported segment version %d", v)
+	version := u32()
+	if version != segmentVersion && version != segmentVersionV1 {
+		return nil, fmt.Errorf("frozen: unsupported segment version %d", version)
 	}
 	g := &segment{deleted: make(map[rel.RowID]bool)}
 	g.level = int(u32())
@@ -412,6 +496,7 @@ func decodeSegmentHeader(hdr []byte) (*segment, error) {
 		return nil, err
 	}
 	g.blocks = make([]segBlock, nb)
+	rows := 0
 	for i := range g.blocks {
 		b := &g.blocks[i]
 		b.firstRID = rel.RowID(u64())
@@ -420,6 +505,16 @@ func decodeSegmentHeader(hdr []byte) (*segment, error) {
 		b.rawLen = u32()
 		b.compOff = u32()
 		b.compLen = u32()
+		if b.firstRID > b.lastRID || (i > 0 && b.firstRID <= g.blocks[i-1].lastRID) {
+			return nil, fmt.Errorf("frozen: block %d rid range out of order", i)
+		}
+		if b.numRows == 0 || uint64(b.numRows)-1 > uint64(b.lastRID-b.firstRID) {
+			return nil, fmt.Errorf("frozen: block %d holds %d rows in rid range [%d, %d]", i, b.numRows, b.firstRID, b.lastRID)
+		}
+		rows += int(b.numRows)
+	}
+	if rows != g.numRows {
+		return nil, fmt.Errorf("frozen: blocks hold %d rows, header says %d", rows, g.numRows)
 	}
 	g.firstRID = g.blocks[0].firstRID
 	g.lastRID = g.blocks[nb-1].lastRID
@@ -451,12 +546,37 @@ func decodeSegmentHeader(hdr []byte) (*segment, error) {
 		}
 		g.zones = make([]zone, nz)
 		for i := range g.zones {
-			g.zones[i].col = binary.LittleEndian.Uint16(buf[:2])
+			z := &g.zones[i]
+			z.col = binary.LittleEndian.Uint16(buf[:2])
 			buf = buf[2:]
-			g.zones[i].kind = rel.Type(buf[0])
+			z.kind = rel.Type(buf[0])
 			buf = buf[1:]
-			g.zones[i].min = u64()
-			g.zones[i].max = u64()
+			z.min = u64()
+			z.max = u64()
+			if !z.wellFormed() {
+				return nil, fmt.Errorf("frozen: zone map for col %d is malformed", z.col)
+			}
+		}
+		if version == segmentVersion && nz > 0 {
+			if err := need(nb * nz * 16); err != nil {
+				return nil, err
+			}
+			g.blockZ = make([]zone, nb*nz)
+			for i := range g.blockZ {
+				z := &g.blockZ[i]
+				seg := g.zones[i%nz]
+				*z = zone{col: seg.col, kind: seg.kind, min: u64(), max: u64()}
+				if !z.wellFormed() || !seg.covers(*z) {
+					return nil, fmt.Errorf("frozen: block %d zone map for col %d is malformed or outside its segment zone", i/nz, z.col)
+				}
+			}
+		}
+		if version == segmentVersionV1 {
+			for i := range g.zones {
+				if g.zones[i].kind == rel.TFloat64 {
+					g.zones[i].min, g.zones[i].max = nanBits, nanBits
+				}
+			}
 		}
 	}
 	if len(buf) != 0 {
@@ -466,32 +586,74 @@ func decodeSegmentHeader(hdr []byte) (*segment, error) {
 	return g, nil
 }
 
-// decompressBlock expands one compressed block into (ids, page).
-func decompressBlock(schema *rel.Schema, comp []byte, wantRaw uint32) ([]rel.RowID, *pax.Page, error) {
-	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(comp)))
-	if err != nil {
-		return nil, nil, fmt.Errorf("frozen: decompress block: %w", err)
+// inflater is a pooled DEFLATE reader with its source, so a block read
+// allocates only the raw buffer it keeps.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
+
+var inflaters = sync.Pool{New: func() any {
+	in := new(inflater)
+	in.fr = flate.NewReader(&in.src)
+	return in
+}}
+
+// maxInflateRatio bounds how far a DEFLATE stream can expand (the format
+// tops out near 1032:1), so a damaged directory entry cannot make a read
+// allocate far more than its compressed bytes could ever produce.
+const maxInflateRatio = 1032
+
+// inflateBlock decompresses one block into a fresh buffer of exactly
+// rawLen bytes, and fails unless the stream ends exactly there. The
+// buffer is never pooled or reused: pages decoded from it alias it.
+func inflateBlock(comp []byte, rawLen uint32) ([]byte, error) {
+	if uint64(rawLen) > maxInflateRatio*uint64(len(comp))+maxInflateRatio {
+		return nil, fmt.Errorf("frozen: block raw length %d impossible for %d compressed bytes", rawLen, len(comp))
 	}
-	if wantRaw != 0 && uint32(len(raw)) != wantRaw {
-		return nil, nil, fmt.Errorf("frozen: block raw length %d, want %d", len(raw), wantRaw)
+	in := inflaters.Get().(*inflater)
+	defer func() {
+		in.src.Reset(nil) // do not pin comp while pooled
+		inflaters.Put(in)
+	}()
+	in.src.Reset(comp)
+	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return nil, fmt.Errorf("frozen: decompress block: %w", err)
 	}
+	raw := make([]byte, rawLen)
+	if _, err := io.ReadFull(in.fr, raw); err != nil {
+		return nil, fmt.Errorf("frozen: decompress block (want %d raw bytes): %w", rawLen, err)
+	}
+	var extra [1]byte
+	if _, err := io.ReadAtLeast(in.fr, extra[:], 1); err != io.EOF {
+		if err == nil {
+			return nil, fmt.Errorf("frozen: block inflates past its raw length %d", rawLen)
+		}
+		return nil, fmt.Errorf("frozen: decompress block: %w", err)
+	}
+	return raw, nil
+}
+
+// decodeBlock splits a raw block into its row ids and, given a schema, a
+// read-only page aliasing raw.
+func decodeBlock(schema *rel.Schema, raw []byte) ([]rel.RowID, *pax.Page, error) {
 	if len(raw) < 4 {
 		return nil, nil, errTruncated("block row count")
 	}
 	n := int(binary.LittleEndian.Uint32(raw[:4]))
 	off := 4
-	if n < 0 || len(raw) < off+8*n {
+	if len(raw)-off < 8*n {
 		return nil, nil, errTruncated("block ids")
 	}
 	ids := make([]rel.RowID, n)
-	for i := 0; i < n; i++ {
+	for i := range ids {
 		ids[i] = rel.RowID(binary.LittleEndian.Uint64(raw[off:]))
 		off += 8
 	}
 	if schema == nil {
 		return ids, nil, nil
 	}
-	page, err := pax.Deserialize(schema, maxInt(n, 1), raw[off:])
+	page, err := pax.DeserializeShared(schema, raw[off:])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -501,18 +663,22 @@ func decompressBlock(schema *rel.Schema, comp []byte, wantRaw uint32) ([]rel.Row
 	return ids, page, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// decompressBlock expands one compressed block into (ids, page).
+func decompressBlock(schema *rel.Schema, comp []byte, rawLen uint32) ([]rel.RowID, *pax.Page, error) {
+	raw, err := inflateBlock(comp, rawLen)
+	if err != nil {
+		return nil, nil, err
 	}
-	return b
+	return decodeBlock(schema, raw)
 }
 
 // VerifySegmentBytes checks a raw segment image against its manifest
 // record without needing the table schema: whole-segment CRC, header CRC
-// and shape, block directory ordering, per-block decompression, row-id
-// ordering, and bloom membership of every stored row id. Used by backup
-// verification.
+// and shape (see decodeSegmentHeader), per-block decompression, row-id
+// ordering, bloom membership of every stored row id, and that every
+// fixed-width value lies inside its block's zone (the segment's, for
+// version 1) — a zone that misses a value would silently drop that row
+// from pruned scans. Used by backup verification.
 func VerifySegmentBytes(data []byte, m SegmentMeta) error {
 	if int64(len(data)) != int64(m.Ref.Len) {
 		return fmt.Errorf("frozen: segment length %d, manifest says %d", len(data), m.Ref.Len)
@@ -532,17 +698,15 @@ func VerifySegmentBytes(data []byte, m SegmentMeta) error {
 		return fmt.Errorf("frozen: segment header disagrees with manifest record")
 	}
 	body := data[m.HeaderLen:]
-	total := 0
-	var prev rel.RowID
 	for i, b := range g.blocks {
-		if b.firstRID > b.lastRID || (i > 0 && b.firstRID <= prev) {
-			return fmt.Errorf("frozen: block %d rid range out of order", i)
-		}
-		prev = b.lastRID
 		if int64(b.compOff)+int64(b.compLen) > int64(len(body)) {
 			return fmt.Errorf("frozen: block %d overruns segment body", i)
 		}
-		ids, _, err := decompressBlock(nil, body[b.compOff:b.compOff+b.compLen], b.rawLen)
+		raw, err := inflateBlock(body[b.compOff:b.compOff+b.compLen], b.rawLen)
+		if err != nil {
+			return fmt.Errorf("frozen: block %d: %w", i, err)
+		}
+		ids, _, err := decodeBlock(nil, raw)
 		if err != nil {
 			return fmt.Errorf("frozen: block %d: %w", i, err)
 		}
@@ -557,15 +721,30 @@ func VerifySegmentBytes(data []byte, m SegmentMeta) error {
 				return fmt.Errorf("frozen: bloom filter missing row id %d", id)
 			}
 		}
-		total += len(ids)
-	}
-	for _, z := range g.zones {
-		if zoneLess(z.kind, z.max, z.min) {
-			return fmt.Errorf("frozen: zone map for col %d has min > max", z.col)
+		zones := g.blockZones(i)
+		if zones == nil {
+			zones = g.zones
 		}
-	}
-	if total != g.numRows {
-		return fmt.Errorf("frozen: segment rows %d, header says %d", total, g.numRows)
+		if len(zones) == 0 {
+			continue
+		}
+		// segmentBuilder keeps one zone per fixed-width column in schema
+		// order, which is the order of the page's fixed minipages.
+		n, strips, err := pax.FixedStrips(raw[4+8*len(ids):], len(zones))
+		if err != nil {
+			return fmt.Errorf("frozen: block %d: %w", i, err)
+		}
+		if n != len(ids) {
+			return fmt.Errorf("frozen: block %d pax rows %d, ids %d", i, n, len(ids))
+		}
+		for k, z := range zones {
+			for j := 0; j < n; j++ {
+				v := binary.LittleEndian.Uint64(strips[k][j*8:])
+				if !z.covers(zone{kind: z.kind, min: v, max: v}) {
+					return fmt.Errorf("frozen: block %d row %d lies outside its zone map for col %d", i, ids[j], z.col)
+				}
+			}
+		}
 	}
 	return nil
 }

@@ -55,6 +55,16 @@ func NewPage(schema *rel.Schema, cap int) *Page {
 	if cap <= 0 {
 		panic("pax: non-positive page capacity")
 	}
+	p := newPage(schema, cap)
+	for fi := range p.fixed {
+		p.fixed[fi] = make([]byte, cap*8)
+	}
+	return p
+}
+
+// newPage lays out the column indexes and per-var-column slot tables of a
+// cap-row page; the fixed minipages are left for the caller to supply.
+func newPage(schema *rel.Schema, cap int) *Page {
 	p := &Page{
 		schema: schema,
 		cap:    cap,
@@ -62,10 +72,10 @@ func NewPage(schema *rel.Schema, cap int) *Page {
 		varIdx: make([]int, schema.NumCols()),
 	}
 	for i, c := range schema.Cols {
-		if w := c.Type.FixedWidth(); w > 0 {
+		if c.Type.FixedWidth() > 0 {
 			p.fixIdx[i] = len(p.fixed)
 			p.varIdx[i] = -1
-			p.fixed = append(p.fixed, make([]byte, cap*w))
+			p.fixed = append(p.fixed, nil)
 		} else {
 			p.fixIdx[i] = -1
 			p.varIdx[i] = len(p.vars)
@@ -289,42 +299,122 @@ func (p *Page) Serialize(dst []byte) []byte {
 	return dst
 }
 
-// Deserialize reconstructs a page from a Serialize image. cap must be at
-// least the stored row count.
-func Deserialize(schema *rel.Schema, cap int, img []byte) (*Page, error) {
+// imageRows validates a Serialize image's header and returns its row
+// count.
+func imageRows(img []byte) (int, error) {
 	if len(img) < 8 {
-		return nil, fmt.Errorf("pax: truncated page image")
+		return 0, fmt.Errorf("pax: truncated page image")
 	}
 	if binary.LittleEndian.Uint32(img[:4]) != pageMagic {
-		return nil, fmt.Errorf("pax: bad page magic %#x", binary.LittleEndian.Uint32(img[:4]))
+		return 0, fmt.Errorf("pax: bad page magic %#x", binary.LittleEndian.Uint32(img[:4]))
 	}
-	n := int(binary.LittleEndian.Uint32(img[4:8]))
+	return int(binary.LittleEndian.Uint32(img[4:8])), nil
+}
+
+// Deserialize reconstructs a page from a Serialize image, copying every
+// value out of img. cap must be at least the stored row count.
+func Deserialize(schema *rel.Schema, cap int, img []byte) (*Page, error) {
+	n, err := imageRows(img)
+	if err != nil {
+		return nil, err
+	}
 	if n > cap {
 		return nil, fmt.Errorf("pax: stored %d rows exceeds capacity %d", n, cap)
 	}
 	p := NewPage(schema, cap)
-	off := 8
-	for _, mp := range p.fixed {
-		if off+n*8 > len(img) {
-			return nil, fmt.Errorf("pax: truncated fixed minipage")
+	if err := p.load(img, n, false); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DeserializeShared reconstructs a read-only page whose fixed minipages
+// and var-width values alias img instead of copying it: decoding costs
+// the slot tables, not a copy per value. The page holds exactly the
+// stored rows (Cap() == Len(), so Insert and Append fail) and must not be
+// changed through SetCol or SetRow. img must never be modified or reused
+// while the page, or any string read from it, is live: Col hands out
+// zero-copy views (see viewStr). Mutable pages, such as buffer frames,
+// use Deserialize.
+func DeserializeShared(schema *rel.Schema, img []byte) (*Page, error) {
+	n, err := imageRows(img)
+	if err != nil {
+		return nil, err
+	}
+	// Bound n by the image before sizing slot tables from it: every row
+	// takes 8 bytes per fixed column and at least 4 per var column.
+	perRow := 0
+	for _, c := range schema.Cols {
+		if c.Type.FixedWidth() > 0 {
+			perRow += 8
+		} else {
+			perRow += 4
 		}
-		copy(mp, img[off:off+n*8])
+	}
+	if int64(n)*int64(perRow) > int64(len(img)-8) {
+		return nil, fmt.Errorf("pax: truncated page image (%d rows in %d bytes)", n, len(img))
+	}
+	p := newPage(schema, n)
+	if err := p.load(img, n, true); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// load fills the page's first n rows from a Serialize image, aliasing
+// img when shared and copying out of it otherwise.
+func (p *Page) load(img []byte, n int, shared bool) error {
+	off := 8
+	for fi := range p.fixed {
+		if off+n*8 > len(img) {
+			return fmt.Errorf("pax: truncated fixed minipage")
+		}
+		if shared {
+			p.fixed[fi] = img[off : off+n*8 : off+n*8]
+		} else {
+			copy(p.fixed[fi], img[off:off+n*8])
+		}
 		off += n * 8
 	}
 	for _, vc := range p.vars {
 		for i := 0; i < n; i++ {
 			if off+4 > len(img) {
-				return nil, fmt.Errorf("pax: truncated var length")
+				return fmt.Errorf("pax: truncated var length")
 			}
 			l := int(binary.LittleEndian.Uint32(img[off : off+4]))
 			off += 4
-			if off+l > len(img) {
-				return nil, fmt.Errorf("pax: truncated var value")
+			if l > len(img)-off {
+				return fmt.Errorf("pax: truncated var value")
 			}
-			vc[i] = append([]byte(nil), img[off:off+l]...)
+			if shared {
+				vc[i] = img[off : off+l : off+l]
+			} else {
+				vc[i] = append([]byte(nil), img[off:off+l]...)
+			}
 			off += l
 		}
 	}
 	p.n = n
-	return p, nil
+	return nil
+}
+
+// FixedStrips returns the row count of a Serialize image and its first k
+// fixed-width minipages, aliasing img. It needs no schema: an image lays
+// out every fixed column first, in schema order, n*8 bytes each, so a
+// caller that knows the leading fixed columns can check their values
+// without decoding the page.
+func FixedStrips(img []byte, k int) (int, [][]byte, error) {
+	n, err := imageRows(img)
+	if err != nil {
+		return 0, nil, err
+	}
+	if int64(n)*8*int64(k) > int64(len(img)-8) {
+		return 0, nil, fmt.Errorf("pax: truncated fixed minipage")
+	}
+	strips := make([][]byte, k)
+	for i := range strips {
+		off := 8 + i*n*8
+		strips[i] = img[off : off+n*8 : off+n*8]
+	}
+	return n, strips, nil
 }

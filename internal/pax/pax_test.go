@@ -1,6 +1,8 @@
 package pax
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -213,6 +215,97 @@ func TestDeserializeErrors(t *testing.T) {
 	}
 }
 
+// DeserializeShared decodes the same rows as Deserialize, but its values
+// alias the image, and the page it returns is full.
+func TestDeserializeShared(t *testing.T) {
+	s := testSchema()
+	p := NewPage(s, 16)
+	for i := 0; i < 9; i++ {
+		p.Append(mkRow(i))
+	}
+	img := p.Serialize(nil)
+	q, err := DeserializeShared(s, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Len() != 9 || q.Cap() != 9 || !q.Full() {
+		t.Fatalf("shared page Len=%d Cap=%d", q.Len(), q.Cap())
+	}
+	for i := 0; i < 9; i++ {
+		if !q.Row(i).Equal(mkRow(i)) {
+			t.Fatalf("row %d = %v, want %v", i, q.Row(i), mkRow(i))
+		}
+	}
+	if _, err := q.Append(mkRow(9)); err == nil {
+		t.Fatal("append to a shared page accepted")
+	}
+	// Values are views of img, not copies: an edit of the image shows.
+	name := q.Col(3, 1).S
+	img[len(img)-1] = 'Z' // last byte of the last name
+	if got := q.Col(8, 1).S; got != "Z" {
+		t.Fatalf("shared value = %q after editing the image", got)
+	}
+	if name != "d" {
+		t.Fatalf("untouched value = %q", name)
+	}
+
+	empty, err := DeserializeShared(s, NewPage(s, 4).Serialize(nil))
+	if err != nil || empty.Len() != 0 {
+		t.Fatalf("empty page = %v, %v", empty, err)
+	}
+}
+
+func TestDeserializeSharedErrors(t *testing.T) {
+	s := testSchema()
+	if _, err := DeserializeShared(s, []byte{1, 2}); err == nil {
+		t.Fatal("truncated image accepted")
+	}
+	if _, err := DeserializeShared(s, make([]byte, 16)); err == nil {
+		t.Fatal("bad magic accepted")
+	}
+	p := NewPage(s, 8)
+	for i := 0; i < 6; i++ {
+		p.Append(mkRow(i))
+	}
+	img := p.Serialize(nil)
+	for cut := 1; cut < len(img)-8; cut++ {
+		if _, err := DeserializeShared(s, img[:len(img)-cut]); err == nil {
+			t.Fatalf("image cut by %d bytes accepted", cut)
+		}
+	}
+	// A row count the image cannot hold is refused before any slot table
+	// is sized from it.
+	huge := append([]byte(nil), img...)
+	huge[4], huge[5], huge[6], huge[7] = 0xFF, 0xFF, 0xFF, 0xFF
+	if _, err := DeserializeShared(s, huge); err == nil {
+		t.Fatal("oversized row count accepted")
+	}
+}
+
+func TestFixedStrips(t *testing.T) {
+	s := testSchema() // fixed columns: id, bal
+	p := NewPage(s, 8)
+	for i := 0; i < 5; i++ {
+		p.Append(mkRow(i))
+	}
+	img := p.Serialize(nil)
+	n, strips, err := FixedStrips(img, 2)
+	if err != nil || n != 5 || len(strips) != 2 {
+		t.Fatalf("FixedStrips = %d, %d strips, %v", n, len(strips), err)
+	}
+	for i := 0; i < n; i++ {
+		if got := int64(binary.LittleEndian.Uint64(strips[0][i*8:])); got != int64(i) {
+			t.Fatalf("id strip[%d] = %d", i, got)
+		}
+		if got := math.Float64frombits(binary.LittleEndian.Uint64(strips[1][i*8:])); got != float64(i)/2 {
+			t.Fatalf("bal strip[%d] = %v", i, got)
+		}
+	}
+	if _, _, err := FixedStrips(img[:8+5*8+3], 2); err == nil {
+		t.Fatal("truncated strip accepted")
+	}
+}
+
 func TestRoundTripProperty(t *testing.T) {
 	s := testSchema()
 	f := func(ids []int64, names []string) bool {
@@ -231,12 +324,17 @@ func TestRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		q, err := Deserialize(s, 32, p.Serialize(nil))
+		img := p.Serialize(nil)
+		q, err := Deserialize(s, 32, img)
 		if err != nil {
 			return false
 		}
+		shared, err := DeserializeShared(s, img)
+		if err != nil || shared.Len() != n {
+			return false
+		}
 		for i := 0; i < n; i++ {
-			if !q.Row(i).Equal(rows[i]) {
+			if !q.Row(i).Equal(rows[i]) || !shared.Row(i).Equal(rows[i]) {
 				return false
 			}
 		}

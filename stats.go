@@ -98,6 +98,8 @@ func buildRegistry(db *DB) *metrics.Registry {
 		cold(func(s ColdStats) int64 { return s.CacheHits }))
 	reg.Counter("phoebe_cold_block_cache_misses_total", "Cold block reads that decompressed from disk.",
 		cold(func(s ColdStats) int64 { return s.CacheMisses }))
+	reg.Counter("phoebe_cold_blocks_pruned_total", "Cold scan blocks skipped because a segment or block zone map refuted the predicates.",
+		cold(func(s ColdStats) int64 { return s.BlocksPruned }))
 	reg.Counter("phoebe_cold_compactions_total", "Cold segment merges completed.",
 		cold(func(s ColdStats) int64 { return s.Compactions }))
 	reg.Counter("phoebe_cold_freeze_bytes_total", "Compressed bytes written by freezing (first cold write).",
