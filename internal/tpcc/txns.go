@@ -61,6 +61,36 @@ func NewOrder(c Client, r *rng, s Scale, wID int64) error {
 	allLocal := int64(1)
 	rollbackLast := r.Intn(100) == 0 // 1 % invalid item on the last line
 
+	// Draw every order line first, then touch the stock rows in stock_pk
+	// order (supply warehouse, item). Two New-Orders on different districts
+	// lock overlapping stock rows; a common order means one waits for the
+	// other instead of both waiting on each other until the lock timeout.
+	type orderLine struct {
+		iID, supplyW, quantity int64
+	}
+	lines := make([]orderLine, olCnt)
+	for i := range lines {
+		iID := r.itemID(int64(s.Items))
+		if rollbackLast && int64(i) == olCnt-1 {
+			iID = int64(s.Items) + 777777 // unused item id -> abort
+		}
+		supplyW := wID
+		if s.Warehouses > 1 && r.Intn(100) == 0 {
+			// 1 % remote order line.
+			for supplyW == wID {
+				supplyW = r.uniform(1, int64(s.Warehouses))
+			}
+			allLocal = 0
+		}
+		lines[i] = orderLine{iID: iID, supplyW: supplyW, quantity: r.uniform(1, 10)}
+	}
+	sort.SliceStable(lines, func(i, j int) bool {
+		if lines[i].supplyW != lines[j].supplyW {
+			return lines[i].supplyW < lines[j].supplyW
+		}
+		return lines[i].iID < lines[j].iID
+	})
+
 	if _, err := c.Insert("orders", rel.Row{
 		rel.Int(oID), rel.Int(dID), rel.Int(wID), rel.Int(cID),
 		rel.Int(1), rel.Int(0), rel.Int(olCnt), rel.Int(allLocal),
@@ -72,20 +102,9 @@ func NewOrder(c Client, r *rng, s Scale, wID int64) error {
 	}
 
 	var total float64
-	for ol := int64(1); ol <= olCnt; ol++ {
-		iID := r.itemID(int64(s.Items))
-		if rollbackLast && ol == olCnt {
-			iID = int64(s.Items) + 777777 // unused item id -> abort
-		}
-		supplyW := wID
-		if s.Warehouses > 1 && r.Intn(100) == 0 {
-			// 1 % remote order line.
-			for supplyW == wID {
-				supplyW = r.uniform(1, int64(s.Warehouses))
-			}
-			allLocal = 0
-		}
-		quantity := r.uniform(1, 10)
+	for i, line := range lines {
+		ol := int64(i) + 1
+		iID, supplyW, quantity := line.iID, line.supplyW, line.quantity
 
 		_, iRow, ok, err := c.GetByIndex("item", "item_pk", rel.Int(iID))
 		if err != nil {
